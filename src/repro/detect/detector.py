@@ -4,11 +4,18 @@ Semantics (see ``docs/DETECTION.md``): for a specified transition
 ``[A, B]`` the detector examines the transition's **ternary points** —
 stable inputs pinned to their ``A`` value, each changing input set to its
 start value, its end value, or ``X``.  At every point where the function
-is provably stable (:func:`~repro.detect.ternary.stable_value` over the
-ON/OFF covers) the netlist must produce that stable value under Kleene
-evaluation; an ``X`` output is a hazard, a wrong definite value is a
-functional mismatch.  Vertex points (no ``X``) double as functional
-endpoint checks.
+is provably stable (every resolution in ON, or every one in OFF) the
+netlist must produce that stable value under Kleene evaluation; an ``X``
+output is a hazard, a wrong definite value is a functional mismatch.
+Vertex points (no ``X``) double as functional endpoint checks.
+
+The engine judges a transition's points together, as integer
+bit-planes: one :meth:`~repro.detect.netlist.Netlist.eval_planes` sweep
+for the netlist, a ``2^k``-bit truth table per output for the
+specification, and the first failing point as the lowest set bit of the
+failure plane.  Counters, budget checkpoints and sampled-mode RNG draws
+are exactly those of visiting the points one by one, in order, up to
+that point (``docs/DETECTION.md``, "Bit-plane engine").
 
 Two modes:
 
@@ -35,12 +42,12 @@ out the triage rules the differential suite enforces.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cubes.cover import Cover
 from repro.detect.netlist import Netlist
-from repro.detect.ternary import point_string, stable_value
+from repro.detect.ternary import point_string
 from repro.guard.budget import RunBudget
 from repro.guard.errors import BudgetExceeded
 from repro.hazards.instance import HazardFreeInstance
@@ -204,50 +211,307 @@ class _Counters:
             counter.inc(n)
 
 
-def _transition_points(
-    transition: Transition,
-    mode: str,
-    max_points: int,
-    rng: random.Random,
-) -> Tuple[Iterable[Tuple[int, ...]], int, bool]:
-    """Yield trit assignments for the changing variables.
+#: Widest transition whose point tables are memoized: ``3^7`` points, the
+#: auto cap.  Wider exhaustive transitions run in batches of ``3^7``
+#: points over this table and never materialize a ``3^k`` table.
+TABLE_K = 7
 
-    A trit is 0 (start value), 1 (end value), or 2 (``X``).  Returns
-    ``(iterator, total, exhaustive)``.
+#: Widest transition whose specification becomes a ``2^k``-bit truth
+#: table per output; wider ones test each point's cube against the
+#: specification cubes directly.
+TRUTH_TABLE_K = 16
+
+
+class _PointTable:
+    """Bit-planes of all ``3^k`` ternary points of a ``k``-variable transition.
+
+    Point ``i`` gives changing variable ``j`` the trit ``(i // 3^j) % 3``
+    (0 = start value, 1 = end value, 2 = X): the odometer order, variable
+    0 fastest.  ``planes[j]`` is variable ``j``'s pair ``(admits_start,
+    admits_end)``.  ``cover[m]`` marks the points that have minterm ``m``
+    of the transition cube among their resolutions (bit ``j`` of ``m`` set
+    = variable ``j`` at its end value).
     """
-    k = len(transition.changing)
-    total = 3 ** k
-    if mode == "exhaustive" or total <= max_points:
-        def full():
-            assign = [0] * k
-            while True:
-                yield tuple(assign)
-                for i in range(k):
-                    assign[i] += 1
-                    if assign[i] < 3:
-                        break
-                    assign[i] = 0
-                else:
-                    return
-        return full(), total, True
 
-    def sampled():
-        # The endpoints and the all-X point are always examined.
-        yield (0,) * k
-        yield (1,) * k
-        yield (2,) * k
-        seen = {(0,) * k, (1,) * k, (2,) * k}
-        budget = max_points - len(seen)
-        attempts = 0
-        while budget > 0 and attempts < 8 * max_points:
-            attempts += 1
-            cand = tuple(rng.randrange(3) for _ in range(k))
-            if cand in seen:
-                continue
-            seen.add(cand)
-            budget -= 1
-            yield cand
-    return sampled(), total, False
+    __slots__ = ("k", "width", "ones", "planes", "cover")
+
+    def __init__(self, k: int):
+        width = 3 ** k
+        ones = (1 << width) - 1
+        planes: List[Tuple[int, int]] = []
+        for j in range(k):
+            step = 3 ** j
+            block = (1 << step) - 1
+            x = block << (2 * step)
+            # one set bit at the start of every period of 3 * step points
+            repeat = ones // ((1 << (3 * step)) - 1)
+            planes.append(((block | x) * repeat, ((block << step) | x) * repeat))
+        cover: List[int] = []
+        for m in range(1 << k):
+            plane = ones
+            for j, (lo, hi) in enumerate(planes):
+                plane &= hi if (m >> j) & 1 else lo
+            cover.append(plane)
+        self.k, self.width, self.ones = k, width, ones
+        self.planes, self.cover = planes, cover
+
+
+_TABLES: Dict[int, _PointTable] = {}
+
+
+def _point_table(k: int) -> _PointTable:
+    """The memoized table of ``k <= TABLE_K`` changing variables."""
+    table = _TABLES.get(k)
+    if table is None:
+        table = _TABLES[k] = _PointTable(k)
+    return table
+
+
+def _digits(i: int, k: int) -> Tuple[int, ...]:
+    """Point ``i``'s trits, variable 0 first."""
+    out = []
+    for _ in range(k):
+        i, t = divmod(i, 3)
+        out.append(t)
+    return tuple(out)
+
+
+def _resolutions(trits: Sequence[int]) -> int:
+    """The minterms of the transition cube a point resolves to, as bits."""
+    res = 1
+    for j, t in enumerate(trits):
+        if t == 1:
+            res <<= 1 << j
+        elif t == 2:
+            res |= res << (1 << j)
+    return res
+
+
+def _unstable_plane(table: _PointTable, tt: int) -> int:
+    """Points with a resolution outside the ``2^k``-bit truth table ``tt``."""
+    miss = ~tt & ((1 << (1 << table.k)) - 1)
+    plane = 0
+    cover = table.cover
+    while miss:
+        low = miss & -miss
+        plane |= cover[low.bit_length() - 1]
+        miss ^= low
+    return plane
+
+
+def _covered(cube: int, rows: Sequence[int], m01: int) -> bool:
+    """Whether the union of ``rows`` contains ``cube`` (two bits per
+    variable, as in :mod:`repro.cubes.cube`); Shannon splitting."""
+    live = []
+    for r in rows:
+        meet = r & cube
+        if ~(meet | meet >> 1) & m01:
+            continue
+        if meet == cube:
+            return True
+        live.append(r)
+    if not live:
+        return False
+    dc = cube & cube >> 1 & m01
+    # A live row that does not contain the cube is restricted on some
+    # variable the cube leaves free: split there.
+    split = dc & ~(live[0] & live[0] >> 1)
+    low = split & -split
+    rest = cube & ~(low * 3)
+    return _covered(rest | low, live, m01) and _covered(
+        rest | low << 1, live, m01
+    )
+
+
+def _sample_points(
+    k: int, max_points: int, rng: random.Random, limit: Optional[int] = None
+) -> List[Tuple[int, ...]]:
+    """The sampled-mode point sequence, drawing from ``rng``.
+
+    The endpoints and the all-X point come first, then distinct random
+    points until ``max_points`` (or ``8 * max_points`` draws).  With
+    ``limit`` the draw stops as soon as that many points exist, so
+    re-drawing from a saved state leaves ``rng`` exactly where a
+    point-by-point enumeration that stopped there would.
+    """
+    points = [(0,) * k, (1,) * k, (2,) * k]
+    if limit is not None and limit <= len(points):
+        return points[:limit]
+    seen = set(points)
+    budget = max_points - len(seen)
+    attempts = 0
+    randrange = rng.randrange
+    while budget > 0 and attempts < 8 * max_points:
+        attempts += 1
+        cand = tuple([randrange(3) for _ in range(k)])
+        if cand in seen:
+            continue
+        seen.add(cand)
+        budget -= 1
+        points.append(cand)
+        if len(points) == limit:
+            break
+    return points
+
+
+def _spec_side(
+    rows: Sequence[Tuple[int, int]],
+    transition: Transition,
+    n_outputs: int,
+    tabulated: bool,
+) -> list:
+    """Every output's specification over the transition cube, in one
+    pass over the multi-output cubes.
+
+    Tabulated: a ``2^k``-bit truth table per output (bit ``m`` = minterm
+    ``m``, see :class:`_PointTable`).  Otherwise: per output, the cubes
+    meeting the transition cube projected onto the changing variables,
+    two bits per variable (low = admits start value, high = admits end).
+    """
+    start = transition.start
+    changing = transition.changing
+    t_inbits = transition.cube.inbits
+    m01 = ((1 << (2 * len(start))) - 1) // 3
+    out: list = [0] * n_outputs if tabulated else [[] for _ in range(n_outputs)]
+    for inbits, outbits in rows:
+        meet = inbits & t_inbits
+        if not outbits or ~(meet | meet >> 1) & m01:
+            continue  # no output, or disjoint from the transition cube
+        v = 1 if tabulated else 0
+        for j, p in enumerate(changing):
+            lit = inbits >> (2 * p) & 3
+            if tabulated:
+                if lit == 3:
+                    v |= v << (1 << j)
+                elif lit != 1 << start[p]:
+                    v <<= 1 << j
+            else:
+                if start[p]:
+                    lit = lit >> 1 | (lit & 1) << 1
+                v |= lit << (2 * j)
+        while outbits:
+            low = outbits & -outbits
+            j = low.bit_length() - 1
+            if tabulated:
+                out[j] |= v
+            else:
+                out[j].append(v)
+            outbits ^= low
+    return out
+
+
+class _TransitionState:
+    """What every output of one transition shares: the specification over
+    the transition cube and, under full enumeration, one netlist sweep."""
+
+    def __init__(
+        self,
+        netlist: Netlist,
+        on_rows: Sequence[Tuple[int, int]],
+        off_rows: Sequence[Tuple[int, int]],
+        transition: Transition,
+        full: bool,
+    ):
+        self.netlist = netlist
+        self.transition = transition
+        self.changing = transition.changing
+        self.k = k = len(self.changing)
+        self.full = full
+        self.tabulated = k <= TRUTH_TABLE_K
+        n_out = netlist.n_outputs
+        self.on = _spec_side(on_rows, transition, n_out, self.tabulated)
+        self.off = _spec_side(off_rows, transition, n_out, self.tabulated)
+        self._m01 = ((1 << (2 * k)) - 1) // 3
+        self._full_planes: Optional[List[Tuple[int, int]]] = None
+        self._start_planes: Optional[List[Tuple[int, int]]] = None
+
+    def point_value(self, output: int, trits: Sequence[int]) -> Optional[int]:
+        """The specified function's value at a ternary point: 1 or 0 when
+        every resolution has it (ON taking precedence), else None."""
+        if self.tabulated:
+            res = _resolutions(trits)
+            if not res & ~self.on[output]:
+                return 1
+            if not res & ~self.off[output]:
+                return 0
+            return None
+        cube = 0
+        for j, t in enumerate(trits):
+            cube |= (t + 1) << (2 * j)
+        if _covered(cube, self.on[output], self._m01):
+            return 1
+        if _covered(cube, self.off[output], self._m01):
+            return 0
+        return None
+
+    def points_stable(
+        self, output: int, points: Sequence[Sequence[int]]
+    ) -> Tuple[int, int]:
+        """``(stable1, stable0)`` planes over an explicit point list."""
+        s1 = s0 = 0
+        for i, trits in enumerate(points):
+            value = self.point_value(output, trits)
+            if value == 1:
+                s1 |= 1 << i
+            elif value == 0:
+                s0 |= 1 << i
+        return s1, s0
+
+    def batch_stable(
+        self, output: int, table: _PointTable, high: Sequence[int]
+    ) -> Tuple[int, int]:
+        """``(stable1, stable0)`` planes of a full-enumeration batch: every
+        point of ``table`` with the higher variables fixed to ``high``."""
+        if not self.tabulated:
+            return self.points_stable(
+                output, [_digits(i, table.k) + high for i in range(table.width)]
+            )
+        on, off = self.on[output], self.off[output]
+        if high:
+            # A point is stable iff it is stable in every slice of the
+            # truth table its high trits resolve to.
+            slices = [0]
+            for j, t in enumerate(high):
+                if t == 1:
+                    slices = [s | 1 << j for s in slices]
+                elif t == 2:
+                    slices += [s | 1 << j for s in slices]
+            low_all = (1 << (1 << table.k)) - 1
+            on_tt = off_tt = low_all
+            for s in slices:
+                on_tt &= on >> (s << table.k)
+                off_tt &= off >> (s << table.k)
+            on, off = on_tt & low_all, off_tt & low_all
+        s1 = table.ones & ~_unstable_plane(table, on)
+        s0 = table.ones & ~_unstable_plane(table, off) & ~s1
+        return s1, s0
+
+    def sweep(
+        self, var_planes: Sequence[Sequence[int]], ones: int
+    ) -> List[Tuple[int, int]]:
+        """One netlist sweep; ``var_planes[j]`` is changing variable
+        ``j``'s ``(admits_start, admits_end)`` pair."""
+        start = self.transition.start
+        inputs = [(0, ones) if v else (ones, 0) for v in start]
+        for p, (a, b) in zip(self.changing, var_planes):
+            inputs[p] = (b, a) if start[p] else (a, b)
+        return self.netlist.eval_planes(inputs, ones)
+
+    def full_planes(self) -> List[Tuple[int, int]]:
+        """The sweep over all ``3^k`` points (``k <= TABLE_K``), shared
+        by every output."""
+        if self._full_planes is None:
+            table = _point_table(self.k)
+            self._full_planes = self.sweep(table.planes, table.ones)
+        return self._full_planes
+
+    def start_value(self, gate: int) -> int:
+        """A gate's binary value at the transition's start vector."""
+        if self.full and self.k <= TABLE_K:
+            return self.full_planes()[gate][1] & 1
+        if self._start_planes is None:
+            self._start_planes = self.sweep((), 1)
+        return self._start_planes[gate][1]
 
 
 def _algebra_class(netlist: Netlist, transition: Transition, output: int) -> str:
@@ -338,8 +602,8 @@ def detect_netlist(
     tracer = current_tracer()
     span = tracer.start("detect", netlist=netlist.name) if tracer else None
     supports = [netlist.support(j) for j in range(netlist.n_outputs)]
-    on_by_out = [on.restrict_to_output(j) for j in range(netlist.n_outputs)]
-    off_by_out = [off.restrict_to_output(j) for j in range(netlist.n_outputs)]
+    on_rows = [(c.inbits, c.outbits) for c in on.cubes]
+    off_rows = [(c.inbits, c.outbits) for c in off.cubes]
     rng = random.Random(options.seed)
     budget = options.budget
     exhausted = False
@@ -350,6 +614,7 @@ def detect_netlist(
                     f"transition {t_index} has {len(t.start)} inputs, "
                     f"netlist {netlist.name!r} has {netlist.n_inputs}"
                 )
+            state: Optional[_TransitionState] = None
             for j in range(netlist.n_outputs):
                 if exhausted:
                     report.verdicts.append(
@@ -359,18 +624,15 @@ def detect_netlist(
                     )
                     _Counters.bump(counters.skipped)
                     continue
+                if state is None:
+                    full = (
+                        options.mode == "exhaustive"
+                        or 3 ** len(t.changing) <= options.max_points
+                    )
+                    state = _TransitionState(netlist, on_rows, off_rows, t, full)
                 try:
                     verdict = _detect_one(
-                        netlist,
-                        on_by_out[j],
-                        off_by_out[j],
-                        t,
-                        j,
-                        supports[j],
-                        options,
-                        rng,
-                        counters,
-                        budget,
+                        state, j, supports[j], options, rng, counters, budget
                     )
                 except BudgetExceeded:
                     exhausted = True
@@ -391,11 +653,44 @@ def detect_netlist(
     return report
 
 
+def _full_batches(state: _TransitionState, output: int, gate: int):
+    """Full enumeration in fixed-width batches of at most ``3^TABLE_K``
+    points: the low variables run through the memoized table, the rest
+    are fixed per batch (batch ``b`` holds points ``b * width ...``)."""
+    k = state.k
+    low_k = min(k, TABLE_K)
+    table = _point_table(low_k)
+    ones = table.ones
+    const = ((ones, 0), (0, ones), (ones, ones))
+    for b in range(3 ** (k - low_k)):
+        high = _digits(b, k - low_k)
+        if high:
+            planes = state.sweep(
+                table.planes + [const[t] for t in high], ones
+            )
+        else:
+            planes = state.full_planes()
+        s1, s0 = state.batch_stable(output, table, high)
+        yield table.width, planes[gate], s1, s0
+
+
+def _sampled_batch(state: _TransitionState, output: int, gate: int, points):
+    """The sampled points of one verdict as a single batch."""
+    var_planes = [[0, 0] for _ in range(state.k)]
+    for i, trits in enumerate(points):
+        bit = 1 << i
+        for j, t in enumerate(trits):
+            if t != 1:
+                var_planes[j][0] |= bit
+            if t != 0:
+                var_planes[j][1] |= bit
+    planes = state.sweep(var_planes, (1 << len(points)) - 1)
+    s1, s0 = state.points_stable(output, points)
+    return [(len(points), planes[gate], s1, s0)]
+
+
 def _detect_one(
-    netlist: Netlist,
-    on_j: Cover,
-    off_j: Cover,
-    transition: Transition,
+    state: _TransitionState,
     output: int,
     support: frozenset,
     options: DetectOptions,
@@ -403,122 +698,124 @@ def _detect_one(
     counters: _Counters,
     budget: Optional[RunBudget],
 ) -> TransitionVerdict:
-    changing = transition.changing
-    k = len(changing)
-    start, end = transition.start, transition.end
+    """Judge one output over one transition, all points at once.
+
+    Points are visited in batches of integer bit-planes.  In each batch
+    the lowest set bit of ``(stable1 & ~def1) | (stable0 & ~def0)`` is
+    the first failing point; everything the point-by-point order would
+    do up to that point — ``points_checked``, a budget checkpoint before
+    every ``CHECK_EVERY``-th point, the sampled-mode draws from ``rng``
+    — is reproduced exactly, and nothing after it.
+    """
+    transition = state.transition
+    k = state.k
+    total = 3 ** k
     _Counters.bump(counters.transitions)
     if budget is not None:
         budget.charge_iteration("detect")
-
-    def spec_value(vec: Sequence[int]) -> Optional[int]:
-        if on_j.evaluate(vec):
-            return 1
-        if off_j.evaluate(vec):
-            return 0
-        return None
 
     # A transition whose endpoint value is don't-care for this output has
     # no TransitionKind: the specification places no hazard requirement on
     # it (Theorem 2.11 derives required cubes only for defined kinds), so
     # the detector must not assert either.
-    if spec_value(start) is None or spec_value(end) is None:
+    start_value = state.point_value(output, (0,) * k)
+    end_value = state.point_value(output, (1,) * k)
+    if start_value is None or end_value is None:
         return TransitionVerdict(
-            transition, output, STATUS_UNCONSTRAINED, 3 ** k, 0, True
+            transition, output, STATUS_UNCONSTRAINED, total, 0, True
         )
 
-    # Fast path: the output cone does not see any changing variable, so
-    # only the two endpoints need a functional check.
-    relevant = support & set(changing)
-    mode = options.mode
-    points, total, exhaustive = _transition_points(
-        transition,
-        "exhaustive" if mode == "exhaustive" else "sampled",
-        options.max_points,
-        rng,
-    )
-    if not relevant:
-        points, exhaustive = iter(((0,) * k, (1,) * k)), True
+    gate = state.netlist.outputs[output]
+    rewind = None
+    if support.isdisjoint(state.changing):
+        # Fast path: the output cone does not see any changing variable,
+        # so only the two endpoints need a functional check.
+        got = state.start_value(gate)
+        batches = [(
+            2,
+            (3 * (1 - got), 3 * got),
+            (start_value == 1) | (end_value == 1) << 1,
+            (start_value == 0) | (end_value == 0) << 1,
+        )]
+        trits_at = ((0,) * k, (1,) * k).__getitem__
+        exhaustive = True
+    elif state.full:
+        batches = _full_batches(state, output, gate)
+
+        def trits_at(i: int) -> Tuple[int, ...]:
+            return _digits(i, k)
+
+        exhaustive = True
+    else:
+        saved = rng.getstate()
+        points = _sample_points(k, options.max_points, rng)
+
+        def rewind(n: int) -> None:
+            """Leave ``rng`` as if only ``n`` points had been drawn."""
+            rng.setstate(saved)
+            _sample_points(k, options.max_points, rng, limit=n)
+
+        batches = _sampled_batch(state, output, gate, points)
+        trits_at = points.__getitem__
+        exhaustive = False
 
     checked = 0
-    outcome: Optional[TransitionVerdict] = None
-    base = list(start)
-    for assign in points:
-        checked += 1
-        if budget is not None and checked % CHECK_EVERY == 0:
-            budget.checkpoint("detect")
-        point_list: List[Optional[int]] = base[:]
-        has_x = False
-        for pos, trit in zip(changing, assign):
-            if trit == 0:
-                point_list[pos] = start[pos]
-            elif trit == 1:
-                point_list[pos] = end[pos]
-            else:
-                point_list[pos] = None
-                has_x = True
-        point = tuple(point_list)
-        if not has_x:
-            vec = point
-            expected = spec_value(vec)
-            if expected is None:
-                continue
-            got = netlist.eval_gates(vec)[netlist.outputs[output]]
-            if got != expected:
-                _Counters.bump(counters.mismatches)
-                outcome = TransitionVerdict(
-                    transition,
-                    output,
-                    STATUS_MISMATCH,
-                    total,
-                    checked,
-                    exhaustive,
-                    _witness(netlist, transition, point, output, expected, got),
-                )
-                break
-            continue
-        expected = stable_value(point, on_j, off_j)
-        if expected is None:
-            continue  # the function itself is unstable here: no assertion
-        got = netlist.eval_gates_ternary(point)[netlist.outputs[output]]
-        if got is None:
-            _Counters.bump(counters.hazards)
-            outcome = TransitionVerdict(
-                transition,
-                output,
-                STATUS_HAZARD,
-                total,
-                checked,
-                exhaustive,
-                _witness(netlist, transition, point, output, expected, None),
-            )
+    checkpoints = 0
+    failure = None
+    for width, (may0, may1), s1, s0 in batches:
+        fail = (s1 & ~(may1 & ~may0)) | (s0 & ~(may0 & ~may1))
+        index = (fail & -fail).bit_length() - 1
+        reached = checked + (index + 1 if fail else width)
+        if budget is not None:
+            while (checkpoints + 1) * CHECK_EVERY <= reached:
+                checkpoints += 1
+                try:
+                    budget.checkpoint("detect")
+                except BudgetExceeded:
+                    if rewind is not None:
+                        rewind(checkpoints * CHECK_EVERY)
+                    raise
+        checked = reached
+        if fail:
+            expected = (s1 >> index) & 1
+            observed = None if (may0 & may1) >> index & 1 else (may1 >> index) & 1
+            failure = (trits_at(checked - 1), expected, observed)
             break
-        if got != expected:
-            _Counters.bump(counters.mismatches)
-            outcome = TransitionVerdict(
-                transition,
-                output,
-                STATUS_MISMATCH,
-                total,
-                checked,
-                exhaustive,
-                _witness(netlist, transition, point, output, expected, got),
-            )
-            break
+    if failure is not None and rewind is not None:
+        rewind(checked)
     _Counters.bump(counters.points, checked)
-    if outcome is None:
+
+    if failure is None:
         outcome = TransitionVerdict(
             transition, output, STATUS_CLEAN, total, checked, exhaustive
         )
-    if options.algebra:
+    else:
+        trits, expected, observed = failure
+        start, end = transition.start, transition.end
+        point: List[Optional[int]] = list(start)
+        for pos, t in zip(state.changing, trits):
+            point[pos] = end[pos] if t == 1 else None if t == 2 else start[pos]
+        if observed is None:
+            status = STATUS_HAZARD
+            _Counters.bump(counters.hazards)
+        else:
+            status = STATUS_MISMATCH
+            _Counters.bump(counters.mismatches)
         outcome = TransitionVerdict(
-            outcome.transition,
-            outcome.output,
-            outcome.status,
-            outcome.points_total,
-            outcome.points_checked,
-            outcome.exhaustive,
-            outcome.witness,
-            _algebra_class(netlist, transition, output),
+            transition,
+            output,
+            status,
+            total,
+            checked,
+            exhaustive,
+            _witness(
+                state.netlist, transition, tuple(point), output, expected,
+                observed,
+            ),
+        )
+    if options.algebra:
+        outcome = replace(
+            outcome, algebra=_algebra_class(state.netlist, transition, output)
         )
     return outcome
 

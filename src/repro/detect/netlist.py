@@ -17,6 +17,10 @@ Design notes
   :mod:`repro.simulate.ternary`: ``None`` is the unstable value ``X``; an
   AND with a controlling 0 is 0 and an OR with a controlling 1 is 1 even
   when other fan-ins are ``X``.
+* There is one evaluator, :meth:`Netlist.eval_planes`: Kleene values
+  packed as two integer bit-planes, one bit per ternary point, so one
+  forward sweep judges a whole batch of points.  Binary and scalar
+  ternary evaluation are its one-point calls.
 * ``from_cover`` builds the canonical two-level realization (shared NOT
   gates on complemented inputs, one AND per distinct product, one OR per
   output) and ``as_cover`` inverts it for any netlist that still has that
@@ -213,30 +217,54 @@ class Netlist:
                 f"got {len(inputs)}"
             )
 
+    def eval_planes(
+        self, inputs: Sequence[Tuple[int, int]], ones: int
+    ) -> List[Tuple[int, int]]:
+        """Bit-parallel Kleene evaluation of many ternary points at once.
+
+        Bit ``i`` of every plane is point ``i``; ``ones`` has a bit set
+        for every point.  Each wire carries a pair ``(may0, may1)``: bit
+        ``i`` of ``may0`` is set when the wire can be 0 at point ``i``,
+        of ``may1`` when it can be 1.  A stable 0 is ``(1, 0)``, a stable
+        1 is ``(0, 1)`` and ``X`` is ``(1, 1)``.  AND intersects the
+        ``may1`` planes and unions the ``may0`` planes, OR is the dual,
+        NOT swaps the pair — exactly Kleene evaluation, point by point.
+        Returns the pair of every gate.
+        """
+        self._check_inputs(inputs)
+        planes = list(inputs)
+        append = planes.append
+        for g in self.gates[self.n_inputs:]:
+            op = g.op
+            if op == "and":
+                may0, may1 = 0, ones
+                for f in g.fanin:
+                    p0, p1 = planes[f]
+                    may0 |= p0
+                    may1 &= p1
+                append((may0, may1))
+            elif op == "or":
+                may0, may1 = ones, 0
+                for f in g.fanin:
+                    p0, p1 = planes[f]
+                    may0 &= p0
+                    may1 |= p1
+                append((may0, may1))
+            elif op == "not":
+                p0, p1 = planes[g.fanin[0]]
+                append((p1, p0))
+            elif op == "const0":
+                append((ones, 0))
+            else:  # const1
+                append((0, ones))
+        return planes
+
     def eval_gates(self, inputs: Sequence[int]) -> List[int]:
         """Binary evaluation; returns the value of every gate."""
-        self._check_inputs(inputs)
-        values: List[int] = []
-        for i, g in enumerate(self.gates):
-            if g.op == "input":
-                values.append(1 if inputs[i] else 0)
-            elif g.op == "const0":
-                values.append(0)
-            elif g.op == "const1":
-                values.append(1)
-            elif g.op == "not":
-                values.append(1 - values[g.fanin[0]])
-            elif g.op == "and":
-                v = 1
-                for f in g.fanin:
-                    v &= values[f]
-                values.append(v)
-            else:  # or
-                v = 0
-                for f in g.fanin:
-                    v |= values[f]
-                values.append(v)
-        return values
+        planes = self.eval_planes(
+            [(0, 1) if x else (1, 0) for x in inputs], 1
+        )
+        return [may1 for _, may1 in planes]
 
     def evaluate(self, inputs: Sequence[int]) -> Tuple[int, ...]:
         values = self.eval_gates(inputs)
@@ -246,40 +274,11 @@ class Netlist:
         self, inputs: Sequence[Optional[int]]
     ) -> List[Optional[int]]:
         """Kleene ternary evaluation; ``None`` is the unstable value X."""
-        self._check_inputs(inputs)
-        values: List[Optional[int]] = []
-        for i, g in enumerate(self.gates):
-            if g.op == "input":
-                x = inputs[i]
-                values.append(None if x is None else (1 if x else 0))
-            elif g.op == "const0":
-                values.append(0)
-            elif g.op == "const1":
-                values.append(1)
-            elif g.op == "not":
-                x = values[g.fanin[0]]
-                values.append(None if x is None else 1 - x)
-            elif g.op == "and":
-                v: Optional[int] = 1
-                for f in g.fanin:
-                    x = values[f]
-                    if x == 0:
-                        v = 0
-                        break
-                    if x is None:
-                        v = None
-                values.append(v)
-            else:  # or
-                v = 0
-                for f in g.fanin:
-                    x = values[f]
-                    if x == 1:
-                        v = 1
-                        break
-                    if x is None:
-                        v = None
-                values.append(v)
-        return values
+        planes = self.eval_planes(
+            [(1, 1) if x is None else (0, 1) if x else (1, 0) for x in inputs],
+            1,
+        )
+        return [None if may0 & may1 else may1 for may0, may1 in planes]
 
     def evaluate_ternary(
         self, inputs: Sequence[Optional[int]]

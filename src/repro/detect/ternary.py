@@ -23,7 +23,10 @@ Komarath/Saurabh, "On the complexity of detecting hazards"):
 The *true* derivative needs function knowledge: :func:`stable_value`
 answers "is ``f`` constant on the cube of resolutions of ``x``?" from
 ON/OFF covers via cofactor + tautology (exact, no enumeration), with
-:func:`stable_value_brute` as the small-n oracle.
+:func:`stable_value_brute` as the small-n oracle.  The detector itself
+reads ``f̃`` off a truth table over the transition cube, for all points
+at once; :func:`stable_value` is the scalar form the tests check it
+against.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 The detector and the ``u(f)`` transform both need the boolean *function*
 a netlist implements, as covers.  For a netlist that came from a cover we
 already have it; for a foreign ``.net`` circuit we recover it by a single
-sweep over all ``2^n`` input vectors (gated by ``max_inputs`` — foreign
-netlists are interface traffic, not 32-input benchmarks) and then
-compact the minterm sets through the unate-recursive complement, which
-keeps the downstream cofactor/tautology stability checks cheap.
+bit-plane sweep over all ``2^n`` input vectors (gated by ``max_inputs``
+— foreign netlists are interface traffic, not 32-input benchmarks) and
+then compact the minterm sets through the unate-recursive complement,
+which keeps the downstream cofactor/tautology stability checks cheap.
 """
 
 from __future__ import annotations
@@ -39,12 +39,23 @@ def extract_covers(
             f"vectors; refusing beyond {max_inputs} inputs"
         )
     n_out = netlist.n_outputs
-    out_indices = netlist.outputs
+    # One bit-plane sweep over all 2^n vectors: bit v is the v-th vector
+    # of itertools.product((0, 1), repeat=n), so input i is 1 in the
+    # upper half of every period of 2^(n - i) vectors.
+    size = 1 << n
+    ones = (1 << size) - 1
+    inputs = []
+    for i in range(n):
+        half = 1 << (n - 1 - i)
+        period = ((1 << half) - 1) << half
+        may1 = period * (ones // ((1 << (2 * half)) - 1))
+        inputs.append((ones & ~may1, may1))
+    planes = netlist.eval_planes(inputs, ones)
+    out_planes = [planes[o][1] for o in netlist.outputs]
     on_minterms: List[List[Cube]] = [[] for _ in range(n_out)]
-    for vec in itertools.product((0, 1), repeat=n):
-        values = netlist.eval_gates(vec)
+    for v, vec in enumerate(itertools.product((0, 1), repeat=n)):
         for j in range(n_out):
-            if values[out_indices[j]]:
+            if out_planes[j] >> v & 1:
                 on_minterms[j].append(Cube.minterm(vec))
     on = Cover(n, (), n_out)
     off = Cover(n, (), n_out)

@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.cubes.cube import Cube, LITERAL_DC
+from repro.cubes.cube import Cube, mask01
 from repro.cubes.cover import Cover
 from repro.detect.netlist import Netlist
 from repro.espresso.primes import PrimeExplosionError, all_primes
@@ -87,16 +87,29 @@ def expand_against_off(cube: Cube, off: Cover) -> Cube:
     """Greedily raise literals to don't-care while avoiding ``off``.
 
     The result is a prime implicant containing ``cube`` (single-output
-    semantics; ``off`` is the OFF cover of one output).
+    semantics; ``off`` is the OFF cover of one output).  Only input
+    parts are compared, on the bitmasks: each OFF cube keeps the set of
+    variables where it and the growing cube are disjoint, and a raise is
+    allowed unless it would empty one of those sets.
     """
-    c = cube
-    for i in range(cube.n_inputs):
-        if c.literal(i) == LITERAL_DC:
+    n = cube.n_inputs
+    m01 = mask01(n)
+    inbits = cube.inbits
+    conflicts = []
+    for o in off.cubes:
+        if ~(o.inbits | o.inbits >> 1) & m01:
+            continue  # an empty OFF cube meets nothing
+        meet = inbits & o.inbits
+        conflicts.append(~(meet | meet >> 1) & m01)
+    if 0 in conflicts:
+        return cube  # every raise would still meet that OFF cube
+    for i in range(n):
+        bit = 1 << (2 * i)
+        if inbits & (3 * bit) == 3 * bit or bit in conflicts:
             continue
-        cand = c.with_literal(i, LITERAL_DC)
-        if not any(cand.intersects_input(o) for o in off.cubes):
-            c = cand
-    return c
+        inbits |= 3 * bit
+        conflicts = [c & ~bit for c in conflicts]
+    return Cube(n, inbits, cube.outbits, cube.n_outputs)
 
 
 def _maximal_cubes(cubes: Sequence[Cube]) -> List[Cube]:
@@ -132,10 +145,10 @@ def transform_instance(
         for rq in instance.required_cubes():
             if budget is not None:
                 budget.checkpoint("transform")
-            off_j = instance.off.restrict_to_output(rq.output)
             per_output[rq.output].append(
                 expand_against_off(
-                    Cube(n, rq.cube.inbits, 1, 1), off_j
+                    Cube(n, rq.cube.inbits, 1, 1),
+                    instance.off_for_output(rq.output),
                 )
             )
     else:

@@ -51,6 +51,31 @@ class TestExpandAgainstOff:
         expanded = expand_against_off(cube, Cover(2, []))
         assert all(expanded.literal(i) == LITERAL_DC for i in range(2))
 
+    def test_matches_literal_by_literal_expansion(self):
+        """The conflict-set expansion equals the plain greedy loop that
+        re-tests every OFF cube per raise (empty OFF cubes included)."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        from repro.proptest.strategies import covers, cubes
+
+        def naive(cube, off):
+            c = cube
+            for i in range(cube.n_inputs):
+                if c.literal(i) == LITERAL_DC:
+                    continue
+                cand = c.with_literal(i, LITERAL_DC)
+                if not any(cand.intersects_input(o) for o in off.cubes):
+                    c = cand
+            return c
+
+        @hypothesis.given(cubes(4), covers(4, max_cubes=6), st.booleans())
+        def check(cube, off, with_empty):
+            if with_empty:
+                off = Cover(4, off.cubes + [Cube.from_literals([0, 2, 3, 1])])
+            assert expand_against_off(cube, off) == naive(cube, off)
+
+        check()
+
 
 class TestTransitionsMode:
     def test_consensus_is_repaired(self):
