@@ -138,10 +138,9 @@ class Cover:
 
     def restrict_to_output(self, j: int) -> "Cover":
         """The single-output cover of output ``j`` (cubes with bit ``j`` set)."""
-        out = Cover(self.n_inputs, (), 1)
-        for c in self.cubes:
-            if c.has_output(j):
-                out.append(Cube(self.n_inputs, c.inbits, 1, 1))
+        n = self.n_inputs
+        out = Cover(n, (), 1)
+        out.cubes = [Cube(n, c.inbits) for c in self.cubes if c.outbits >> j & 1]
         return out
 
     # ------------------------------------------------------------------

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cubes.cover import Cover
+from repro.cubes.masks import covered, project
 from repro.detect.netlist import Netlist
 from repro.detect.ternary import point_string
 from repro.guard.budget import RunBudget
@@ -299,30 +300,6 @@ def _unstable_plane(table: _PointTable, tt: int) -> int:
     return plane
 
 
-def _covered(cube: int, rows: Sequence[int], m01: int) -> bool:
-    """Whether the union of ``rows`` contains ``cube`` (two bits per
-    variable, as in :mod:`repro.cubes.cube`); Shannon splitting."""
-    live = []
-    for r in rows:
-        meet = r & cube
-        if ~(meet | meet >> 1) & m01:
-            continue
-        if meet == cube:
-            return True
-        live.append(r)
-    if not live:
-        return False
-    dc = cube & cube >> 1 & m01
-    # A live row that does not contain the cube is restricted on some
-    # variable the cube leaves free: split there.
-    split = dc & ~(live[0] & live[0] >> 1)
-    low = split & -split
-    rest = cube & ~(low * 3)
-    return _covered(rest | low, live, m01) and _covered(
-        rest | low << 1, live, m01
-    )
-
-
 def _sample_points(
     k: int, max_points: int, rng: random.Random, limit: Optional[int] = None
 ) -> List[Tuple[int, ...]]:
@@ -365,37 +342,30 @@ def _spec_side(
 
     Tabulated: a ``2^k``-bit truth table per output (bit ``m`` = minterm
     ``m``, see :class:`_PointTable`).  Otherwise: per output, the cubes
-    meeting the transition cube projected onto the changing variables,
-    two bits per variable (low = admits start value, high = admits end).
+    meeting the transition cube projected onto the changing variables
+    (:func:`repro.cubes.masks.project`).
     """
+    if not tabulated:
+        return project(rows, transition, n_outputs)
     start = transition.start
     changing = transition.changing
     t_inbits = transition.cube.inbits
     m01 = ((1 << (2 * len(start))) - 1) // 3
-    out: list = [0] * n_outputs if tabulated else [[] for _ in range(n_outputs)]
+    out = [0] * n_outputs
     for inbits, outbits in rows:
         meet = inbits & t_inbits
         if not outbits or ~(meet | meet >> 1) & m01:
             continue  # no output, or disjoint from the transition cube
-        v = 1 if tabulated else 0
+        v = 1
         for j, p in enumerate(changing):
             lit = inbits >> (2 * p) & 3
-            if tabulated:
-                if lit == 3:
-                    v |= v << (1 << j)
-                elif lit != 1 << start[p]:
-                    v <<= 1 << j
-            else:
-                if start[p]:
-                    lit = lit >> 1 | (lit & 1) << 1
-                v |= lit << (2 * j)
+            if lit == 3:
+                v |= v << (1 << j)
+            elif lit != 1 << start[p]:
+                v <<= 1 << j
         while outbits:
             low = outbits & -outbits
-            j = low.bit_length() - 1
-            if tabulated:
-                out[j] |= v
-            else:
-                out[j].append(v)
+            out[low.bit_length() - 1] |= v
             outbits ^= low
     return out
 
@@ -438,9 +408,9 @@ class _TransitionState:
         cube = 0
         for j, t in enumerate(trits):
             cube |= (t + 1) << (2 * j)
-        if _covered(cube, self.on[output], self._m01):
+        if covered(cube, self.on[output], self._m01):
             return 1
-        if _covered(cube, self.off[output], self._m01):
+        if covered(cube, self.off[output], self._m01):
             return 0
         return None
 

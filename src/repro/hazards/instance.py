@@ -8,24 +8,28 @@ three objects every algorithm in the library consumes (paper §3.1):
 * the set ``Q`` of required cubes (with their output index),
 * the set ``P`` of privileged cubes with their start points,
 * the OFF-set ``R``.
+
+Validation and derivation read one int-mask table per transition: the
+multi-output rows projected onto its changing variables, and each output's
+transition kind (docs/ALGORITHM.md, "Validation and derivation kernel").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cubes.cube import Cube
+from repro.cubes.cube import Cube, mask01
 from repro.cubes.cover import Cover
-from repro.espresso.tautology import tautology
+from repro.cubes.masks import covered, project
 from repro.guard.errors import MalformedInstance
 from repro.hazards.transitions import (
     Transition,
     TransitionKind,
     classify_transition,
-    function_hazard_free,
+    hazard_free_rows,
 )
-from repro.hazards.required import maximal_on_subcubes
+from repro.hazards.required import maximal_subcubes
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,43 @@ class InstanceError(MalformedInstance):
     """
 
 
+class _TransitionTable:
+    """Everything validation and derivation read about one transition, as
+    ints: per output the projected ON and OFF rows (start-relative, see
+    :func:`repro.cubes.masks.project`) and the transition kind (``None``
+    when an endpoint is undefined)."""
+
+    __slots__ = ("m01", "on", "off", "kinds")
+
+    def __init__(
+        self,
+        t: Transition,
+        on_rows: Sequence[Tuple[int, int]],
+        off_rows: Sequence[Tuple[int, int]],
+        n_outputs: int,
+    ):
+        self.m01 = m01 = mask01(len(t.changing))
+        self.on = on = project(on_rows, t, n_outputs)
+        self.off = off = project(off_rows, t, n_outputs)
+        kinds: List[Optional[TransitionKind]] = []
+        for on_j, off_j in zip(on, off):
+            # A projected row holds the start (end) point iff all its low
+            # (high) bits are set; ON takes precedence, as in value().
+            sv = ev = None
+            if any(v & m01 == m01 for v in on_j):
+                sv = True
+            elif any(v & m01 == m01 for v in off_j):
+                sv = False
+            if any(v >> 1 & m01 == m01 for v in on_j):
+                ev = True
+            elif any(v >> 1 & m01 == m01 for v in off_j):
+                ev = False
+            kinds.append(
+                None if sv is None or ev is None else classify_transition(t, sv, ev)
+            )
+        self.kinds: Tuple[Optional[TransitionKind], ...] = tuple(kinds)
+
+
 class HazardFreeInstance:
     """A function plus specified transitions, ready for minimization.
 
@@ -105,6 +146,7 @@ class HazardFreeInstance:
         self.n_outputs = on.n_outputs
         self._on_by_output = [on.restrict_to_output(j) for j in range(self.n_outputs)]
         self._off_by_output = [off.restrict_to_output(j) for j in range(self.n_outputs)]
+        self._tables: Dict[Transition, _TransitionTable] = {}
         if validate:
             self.validate()
 
@@ -128,15 +170,26 @@ class HazardFreeInstance:
             return False
         return None
 
+    def _table(self, transition: Transition) -> _TransitionTable:
+        """The memoized mask table of ``transition``."""
+        table = self._tables.get(transition)
+        if table is None:
+            table = self._tables[transition] = _TransitionTable(
+                transition,
+                [(c.inbits, c.outbits) for c in self.on.cubes],
+                [(c.inbits, c.outbits) for c in self.off.cubes],
+                self.n_outputs,
+            )
+        return table
+
     def kind(self, transition: Transition, j: int) -> TransitionKind:
         """The transition type of output ``j`` over ``transition``."""
-        sv = self.value(transition.start, j)
-        ev = self.value(transition.end, j)
-        if sv is None or ev is None:
+        kind = self._table(transition).kinds[j]
+        if kind is None:
             raise InstanceError(
                 f"transition {transition} endpoint undefined for output {j}"
             )
-        return classify_transition(transition, sv, ev)
+        return kind
 
     # ------------------------------------------------------------------
     # Validation
@@ -144,28 +197,30 @@ class HazardFreeInstance:
 
     def validate(self) -> None:
         """Check the preconditions of the hazard-free minimization model."""
+        n01 = mask01(self.n_inputs)
         for j in range(self.n_outputs):
-            on_j, off_j = self._on_by_output[j], self._off_by_output[j]
-            for c in on_j:
+            off_j = [o.inbits for o in self._off_by_output[j]]
+            for c in self._on_by_output[j]:
                 for o in off_j:
-                    if c.intersects_input(o):
+                    meet = c.inbits & o
+                    if not ~(meet | meet >> 1) & n01:
                         raise InstanceError(
                             f"ON and OFF sets of output {j} intersect: "
-                            f"{c.input_string()} ∩ {o.input_string()}"
+                            f"{c.input_string()} ∩ "
+                            f"{Cube(self.n_inputs, o).input_string()}"
                         )
         for t in self.transitions:
             if len(t.start) != self.n_inputs:
                 raise InstanceError(f"transition {t} has wrong width")
-            t_cube = Cube(self.n_inputs, t.cube.inbits, 1, 1)
+            table = self._table(t)
+            m01 = table.m01
             for j in range(self.n_outputs):
-                on_j, off_j = self._on_by_output[j], self._off_by_output[j]
-                union = Cover(self.n_inputs, (), 1)
-                union.cubes = list(on_j.cubes) + list(off_j.cubes)
-                if not tautology(union.cofactor(t_cube)):
+                on_j, off_j = table.on[j], table.off[j]
+                if not covered(m01 * 3, on_j + off_j, m01):
                     raise InstanceError(
                         f"function not fully defined on {t} for output {j}"
                     )
-                if not function_hazard_free(t, on_j, off_j):
+                if not hazard_free_rows(table.kinds[j], on_j, off_j, m01):
                     raise InstanceError(
                         f"transition {t} has a function hazard on output {j}"
                     )
@@ -180,15 +235,19 @@ class HazardFreeInstance:
             required: List[RequiredCube] = []
             seen = set()
             for t in self.transitions:
+                table = self._table(t)
+                m01 = table.m01
                 for j in range(self.n_outputs):
                     kind = self.kind(t, j)
                     if kind is TransitionKind.STATIC_ONE:
                         cubes = [t.cube]
                     elif kind is TransitionKind.FALLING:
-                        cubes = maximal_on_subcubes(t, self._off_by_output[j])
+                        cubes = maximal_subcubes(
+                            t.start, t.changing, [~v & m01 for v in table.off[j]]
+                        )
                     elif kind is TransitionKind.RISING:
-                        cubes = maximal_on_subcubes(
-                            t.reversed(), self._off_by_output[j]
+                        cubes = maximal_subcubes(
+                            t.end, t.changing, [~(v >> 1) & m01 for v in table.off[j]]
                         )
                     else:
                         continue
@@ -209,16 +268,18 @@ class HazardFreeInstance:
                 for j in range(self.n_outputs):
                     kind = self.kind(t, j)
                     if kind is TransitionKind.FALLING:
-                        norm = t
+                        start = t.start
                     elif kind is TransitionKind.RISING:
-                        norm = t.reversed()
+                        start = t.end
                     else:
                         continue
-                    key = (norm.cube.inbits, norm.start_cube().inbits, j)
+                    key = (t.cube.inbits, start, j)
                     if key not in seen:
                         seen.add(key)
+                        falling = kind is TransitionKind.FALLING
+                        norm = t if falling else t.reversed()
                         privileged.append(
-                            PrivilegedCube(norm.cube, norm.start_cube(), j, norm)
+                            PrivilegedCube(t.cube, norm.start_cube(), j, norm)
                         )
             self._privileged = privileged
         return list(self._privileged)

@@ -11,45 +11,61 @@ the complements (within the changing set) of the *minimal hitting sets* of
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
-from repro.cubes.cube import Cube, LITERAL_DC
+from repro.cubes import masks
+from repro.cubes.cube import Cube, LITERAL_DC, mask01
 from repro.cubes.cover import Cover
 from repro.hazards.transitions import Transition
 
 
 def minimal_hitting_sets(sets: Sequence[FrozenSet[int]]) -> List[FrozenSet[int]]:
-    """All minimal hitting sets of a family of non-empty sets.
+    """All minimal hitting sets of a family of non-empty sets, ordered by
+    size, then elements.
 
-    Berge's incremental construction: maintain the minimal hitting sets of a
-    prefix of the family; to add a set ``D``, extend each current hitting set
-    that misses ``D`` by every element of ``D`` and re-minimize.
+    A wrapper over the bit-set Berge enumeration of
+    :func:`repro.cubes.masks.minimal_hitting_sets`.
     """
-    for d in sets:
-        if not d:
-            raise ValueError("cannot hit an empty set")
-    current: List[FrozenSet[int]] = [frozenset()]
-    # Process only the minimal sets: a hitting set of D' ⊆ D also hits D.
-    pruned = _minimal_sets(sets)
-    for d in pruned:
-        extended: Set[FrozenSet[int]] = set()
-        for h in current:
-            if h & d:
-                extended.add(h)
-            else:
-                for x in d:
-                    extended.add(h | {x})
-        current = _minimal_sets(list(extended))
-    return current
+    universe = sorted(set().union(*sets))
+    bit = {x: 1 << i for i, x in enumerate(universe)}
+    family = [sum(bit[x] for x in d) for d in sets]
+    hitting = [
+        frozenset(x for i, x in enumerate(universe) if h >> i & 1)
+        for h in masks.minimal_hitting_sets(family)
+    ]
+    return sorted(hitting, key=lambda s: (len(s), sorted(s)))
 
 
-def _minimal_sets(sets: Iterable[FrozenSet[int]]) -> List[FrozenSet[int]]:
-    unique = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
-    kept: List[FrozenSet[int]] = []
-    for s in unique:
-        if not any(k <= s for k in kept):
-            kept.append(s)
-    return kept
+def maximal_subcubes(
+    start: Sequence[int], changing: Sequence[int], blockers: Sequence[int]
+) -> List[Cube]:
+    """The maximal cubes ``[start, X]`` avoiding every blocker, sorted.
+
+    ``blockers`` holds one ``D_o`` per OFF cube meeting the transition
+    cube, as a mask with the low bit of changing variable ``j`` (position
+    ``2j``) set iff ``o`` excludes ``start`` there.
+    """
+    if not all(blockers):
+        raise ValueError(
+            "OFF cube contains the start point of a 1->0 transition; "
+            "the instance is ill-formed (f(A) must be 1)"
+        )
+    if not blockers:
+        raise ValueError(
+            "no OFF cube meets the transition cube of a 1->0 transition; "
+            "the end point must be OFF"
+        )
+    base = Cube.minterm(start).inbits
+    out = []
+    for h in masks.minimal_hitting_sets(blockers):
+        inbits = base
+        freed = mask01(len(changing)) & ~h
+        while freed:
+            low = freed & -freed
+            inbits |= LITERAL_DC << (2 * changing[low.bit_length() >> 1])
+            freed ^= low
+        out.append(inbits)
+    return [Cube(len(start), b) for b in sorted(out)]
 
 
 def maximal_on_subcubes(
@@ -60,38 +76,11 @@ def maximal_on_subcubes(
     ``off`` is the single-output OFF cover.  The transition is assumed
     function-hazard-free with ``f(A)=1`` and ``f(B)=0``.
     """
-    start, end = transition.start, transition.end
-    changing = transition.changing
-    t_cube = transition.cube
-    start_cube = Cube.minterm(start)
-    blockers: List[FrozenSet[int]] = []
-    for o in off:
-        if o.is_empty or not o.intersects_input(t_cube):
-            continue
-        d = frozenset(
-            i for i in changing if not (o.literal(i) >> (1 if start[i] else 0)) & 1
-        )
-        if not d:
-            raise ValueError(
-                "OFF cube contains the start point of a 1->0 transition; "
-                "the instance is ill-formed (f(A) must be 1)"
-            )
-        blockers.append(d)
-    if not blockers:
-        raise ValueError(
-            "no OFF cube meets the transition cube of a 1->0 transition; "
-            "the end point must be OFF"
-        )
-    hitting = minimal_hitting_sets(blockers)
-    cubes: List[Cube] = []
-    changing_set = set(changing)
-    for h in hitting:
-        freed = changing_set - h
-        cube = start_cube
-        for i in freed:
-            cube = cube.with_literal(i, LITERAL_DC)
-        cubes.append(cube)
-    return sorted(cubes)
+    rows = masks.project([(c.inbits, 1) for c in off if c.outbits], transition, 1)[0]
+    m01 = mask01(len(transition.changing))
+    return maximal_subcubes(
+        transition.start, transition.changing, [~v & m01 for v in rows]
+    )
 
 
 def maximal_on_subcubes_brute(transition: Transition, on: Cover) -> List[Cube]:

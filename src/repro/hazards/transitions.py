@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.cubes.cube import Cube
+from repro.cubes.cube import Cube, mask01
 from repro.cubes.cover import Cover
+from repro.cubes.masks import project
 from repro.cubes.operations import transition_cube, changing_vars
 
 
@@ -45,15 +47,19 @@ class Transition:
     def n_inputs(self) -> int:
         return len(self.start)
 
-    @property
+    @cached_property
     def cube(self) -> Cube:
         """The transition cube ``[start, end]`` (input part only)."""
         return transition_cube(self.start, self.end)
 
-    @property
+    @cached_property
     def changing(self) -> Tuple[int, ...]:
         """Indices of the input variables that change."""
         return changing_vars(self.start, self.end)
+
+    def __getstate__(self) -> Dict[str, Tuple[int, ...]]:
+        # Pickle the fields only, never the memoized ``cube``/``changing``.
+        return {"start": self.start, "end": self.end}
 
     def reversed(self) -> "Transition":
         """The transition traversed in the opposite direction."""
@@ -82,33 +88,32 @@ def classify_transition(
     return TransitionKind.STATIC_ZERO
 
 
-def _blocker_sets(
-    start: Sequence[int],
-    end: Sequence[int],
-    cover: Cover,
-    t_cube: Cube,
-) -> list:
-    """For each cover cube meeting ``[start, end]``: the changed-variable sets.
+def hazard_free_rows(
+    kind: TransitionKind, on_rows: Sequence[int], off_rows: Sequence[int], m01: int
+) -> bool:
+    """The function-hazard test on one output's projected rows.
 
-    Returns ``(D, E)`` pairs where ``D`` is the set of changing variables that
-    *must* have flipped for a point of the cube to be reached
-    (``{i : start_i ∉ cube_i}``) and ``E`` those that *may* have flipped
-    (``{i : end_i ∈ cube_i}``).  Points of the cube inside the transition
-    cube correspond exactly to changed-sets ``S`` with ``D ⊆ S ⊆ E``.
+    ``on_rows``/``off_rows`` are the ON and OFF cubes meeting the transition
+    cube, projected start-relative onto its changing variables (see
+    :func:`repro.cubes.masks.project`); ``m01`` marks the low bit of each
+    changing variable.  Static transitions: no opposite-set row may meet
+    the cube.  Falling: no OFF row ``o`` and ON row ``n`` with
+    ``D_o ⊆ E_n``, where ``D_o`` is the set of changing variables whose
+    start value ``o`` excludes (they *must* have flipped to reach ``o``) and
+    ``E_n`` those whose end value ``n`` admits (they *may* have flipped
+    inside ``n``).  Rising: the same with the endpoints swapped.
     """
-    changing = changing_vars(start, end)
-    result = []
-    for c in cover:
-        if c.is_empty or not c.intersects_input(t_cube):
-            continue
-        d = frozenset(
-            i for i in changing if not (c.literal(i) >> (1 if start[i] else 0)) & 1
-        )
-        e = frozenset(
-            i for i in changing if (c.literal(i) >> (1 if end[i] else 0)) & 1
-        )
-        result.append((d, e))
-    return result
+    if kind is TransitionKind.STATIC_ONE:
+        return not off_rows
+    if kind is TransitionKind.STATIC_ZERO:
+        return not on_rows
+    if kind is TransitionKind.FALLING:
+        must = [~v & m01 for v in off_rows]
+        may = [v >> 1 & m01 for v in on_rows]
+    else:
+        must = [~(v >> 1) & m01 for v in off_rows]
+        may = [v & m01 for v in on_rows]
+    return not any(d & ~e == 0 for d in must for e in may)
 
 
 def function_hazard_free(
@@ -123,36 +128,23 @@ def function_hazard_free(
     ``on`` and ``off`` are the single-output ON and OFF covers.  The function
     must be fully defined on the transition cube (checked by
     :meth:`repro.hazards.instance.HazardFreeInstance.validate`, not here).
+    Without ``kind`` the transition is classified by ON membership of its
+    endpoints.
 
     * static transitions: the transition cube must lie entirely in the
       ON-set (1→1) or OFF-set (0→0);
     * dynamic transitions (1→0 after normalization): the function must fall
       monotonically — no OFF point of the transition cube may be reachable
-      *before* an ON point.  Using changed-variable sets this is the pair
-      condition: there must be no ON cube ``n`` and OFF cube ``o`` meeting
-      the transition cube with ``D_o ⊆ E_n``.
+      *before* an ON point (the pair condition of :func:`hazard_free_rows`).
     """
-    t_cube = transition.cube
+    on_rows = project([(c.inbits, 1) for c in on if c.outbits], transition, 1)[0]
+    off_rows = project([(c.inbits, 1) for c in off if c.outbits], transition, 1)[0]
+    m01 = mask01(len(transition.changing))
     if kind is None:
-        sv = on.evaluate(transition.start)
-        ev = on.evaluate(transition.end)
+        sv = any(v & m01 == m01 for v in on_rows)
+        ev = any(v >> 1 & m01 == m01 for v in on_rows)
         kind = classify_transition(transition, sv, ev)
-    if kind is TransitionKind.STATIC_ONE:
-        return not any(o.intersects_input(t_cube) for o in off if not o.is_empty)
-    if kind is TransitionKind.STATIC_ZERO:
-        return not any(c.intersects_input(t_cube) for c in on if not c.is_empty)
-    if kind is TransitionKind.RISING:
-        return function_hazard_free(
-            transition.reversed(), on, off, TransitionKind.FALLING
-        )
-    # FALLING: f(start)=1, f(end)=0.
-    off_sets = _blocker_sets(transition.start, transition.end, off, t_cube)
-    on_sets = _blocker_sets(transition.start, transition.end, on, t_cube)
-    for d_o, _ in off_sets:
-        for _, e_n in on_sets:
-            if d_o <= e_n:
-                return False
-    return True
+    return hazard_free_rows(kind, on_rows, off_rows, m01)
 
 
 def function_hazard_free_brute(
