@@ -10,8 +10,11 @@ guarantees a long batch run needs:
   cross-check, with automatic fallback to the scalar engine;
 * :mod:`repro.guard.bundle` / :mod:`repro.guard.shrink` — self-contained,
   delta-debugged failure repro bundles under ``artifacts/``;
-* :mod:`repro.guard.runner` — subprocess isolation with per-item timeouts
-  and structured status rows;
+* :mod:`repro.guard.executor` — the one crash-isolated executor:
+  persistent worker processes for the length of a call, exact blame for
+  a dead worker, per-job timeouts;
+* :mod:`repro.guard.runner` — process isolation with per-item timeouts
+  and structured status rows, on that executor;
 * :mod:`repro.guard.errors` — the error taxonomy (:class:`HFError` and
   friends) with CLI exit codes.
 

@@ -12,13 +12,15 @@ Two layers:
 
 :func:`run_one` / :func:`run_batch`
     Process isolation: each work item (a benchmark circuit or a PLA text)
-    runs in its own subprocess with a wall-clock timeout, and the parent
-    receives a structured, JSON-ready row per item —
+    runs on a crash-isolated worker process (:mod:`repro.guard.executor`)
+    with a wall-clock timeout, and the parent receives a structured,
+    JSON-ready row per item —
     ``status ∈ {ok, degraded, budget_exceeded, no_solution,
-    invariant_violation, malformed, crash, timeout}`` plus metrics and the
-    bundle path, never an exception.  One pathological circuit can
-    therefore never take down a Figure-8 sweep: it times out or crashes
-    *in its own process* and the batch report simply records that.
+    invariant_violation, malformed, crash, worker_crashed, timeout}`` plus
+    metrics and the bundle path, never an exception.  One pathological
+    circuit can therefore never take down a Figure-8 sweep: it times out
+    or crashes *in a worker process* and the batch report simply records
+    that.
 
 ``scripts/bench_hf.py`` and the CLI's ``--timeout`` mode run on this
 module.  Work items are plain dicts (see :func:`benchmark_payload` /
@@ -29,7 +31,6 @@ any library objects.
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_mod
 import time
 from typing import Any, Dict, List, Optional
 
@@ -45,8 +46,8 @@ from repro.guard.errors import (
     InvariantViolation,
     MalformedInstance,
     NoSolutionError,
-    signal_name,
 )
+from repro.guard.executor import run_payloads
 from repro.guard.shrink import shrink_instance
 
 #: statuses a batch row can carry (superset of HFResult.status).
@@ -415,7 +416,7 @@ def _build_instance(payload: Dict[str, Any]):
 def minimize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one work item in-process; always returns a structured row.
 
-    This is the body the subprocess child runs; tests may call it directly.
+    This is the ``"minimize"`` worker body; tests may call it directly.
     """
     from repro.pla.reader import PlaError
 
@@ -589,98 +590,23 @@ def minimize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     return row
 
 
-def _child_main(payload: Dict[str, Any], out_queue) -> None:  # pragma: no cover
-    """Subprocess entry point: run the payload, ship the row, exit."""
-    try:
-        row = minimize_payload(payload)
-    except BaseException as exc:  # noqa: BLE001 - last-resort isolation
-        row = {
-            "name": payload.get("name", "instance"),
-            "status": "crash",
-            "error": describe_exception(exc),
-            "bundle_path": None,
-        }
-    try:
-        out_queue.put(row)
-    except Exception:  # noqa: BLE001 - parent will report a crash
-        pass
-
-
 def run_one(
     payload: Dict[str, Any],
     timeout_s: Optional[float] = None,
     bundle_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Run one work item in a subprocess with a wall-clock timeout.
+    """Run one work item in a worker process with a wall-clock timeout.
 
-    A ``timeout_s`` key in the payload overrides the argument.  On timeout
-    the child is terminated and the row reports ``status="timeout"`` (with
-    an input-preserving bundle when ``bundle_dir`` is set); on a child that
-    dies without reporting, ``status="crash"`` with the exit code.
+    A one-job call of :func:`repro.guard.executor.run_jobs`, so still one
+    process per call.  A ``timeout_s`` key in the payload overrides the
+    argument.  On timeout the worker is terminated and the row reports
+    ``status="timeout"`` (with an input-preserving bundle when
+    ``bundle_dir`` is set); a worker that dies without reporting yields
+    ``status="worker_crashed"`` with the exit code and signal.
     """
-    timeout = payload.get("timeout_s") or timeout_s
     if bundle_dir:
         payload = dict(payload, bundle_dir=bundle_dir)
-    name = payload.get("name", "instance")
-    ctx = multiprocessing.get_context()
-    out_queue = ctx.Queue()
-    proc = ctx.Process(target=_child_main, args=(payload, out_queue), daemon=True)
-    t0 = time.perf_counter()
-    proc.start()
-    deadline = None if timeout is None else t0 + timeout
-    row: Optional[Dict[str, Any]] = None
-    while row is None:
-        try:
-            row = out_queue.get(timeout=0.05)
-        except queue_mod.Empty:
-            if deadline is not None and time.perf_counter() >= deadline:
-                proc.terminate()
-                proc.join()
-                row = {
-                    "name": name,
-                    "status": "timeout",
-                    "time_s": round(time.perf_counter() - t0, 6),
-                    "error": f"exceeded per-circuit timeout of {timeout:g}s",
-                    "bundle_path": _timeout_bundle(payload, bundle_dir, timeout),
-                }
-                break
-            if not proc.is_alive():
-                # One grace read: the row may have landed between polls.
-                try:
-                    row = out_queue.get(timeout=0.5)
-                except queue_mod.Empty:
-                    row = _worker_crashed_row(
-                        name, proc.exitcode, time.perf_counter() - t0
-                    )
-                break
-    proc.join(timeout=1.0)
-    if proc.is_alive():  # pragma: no cover - defensive cleanup
-        proc.terminate()
-        proc.join()
-    row.setdefault("time_s", round(time.perf_counter() - t0, 6))
-    return row
-
-
-def _worker_crashed_row(
-    name: str, exitcode: Optional[int], elapsed_s: float
-) -> Dict[str, Any]:
-    """Structured row for a worker that died without reporting a result.
-
-    Mirrors :class:`repro.guard.errors.WorkerCrashed`: the raw exit code,
-    the decoded signal name (negative exit codes are deaths-by-signal),
-    and a status supervisors can key their retry logic off.
-    """
-    sig = signal_name(exitcode)
-    detail = f"signal {sig}" if sig else f"exit code {exitcode}"
-    return {
-        "name": name,
-        "status": "worker_crashed",
-        "time_s": round(elapsed_s, 6),
-        "error": f"worker died without reporting ({detail})",
-        "exitcode": exitcode,
-        "signal": sig,
-        "bundle_path": None,
-    }
+    return run_payloads([payload], jobs=1, timeout_s=timeout_s)[0]
 
 
 def worker_crashed_error(row: Dict[str, Any]) -> "WorkerCrashed":
@@ -693,25 +619,6 @@ def worker_crashed_error(row: Dict[str, Any]) -> "WorkerCrashed":
     )
 
 
-def _timeout_bundle(
-    payload: Dict[str, Any], bundle_dir: Optional[str], timeout: float
-) -> Optional[str]:
-    """Preserve a timed-out work item's input as a (non-shrunk) bundle."""
-    if not bundle_dir:
-        return None
-    try:
-        instance = _build_instance(payload)
-        return write_bundle(
-            instance,
-            failure_kind="timeout",
-            failure_message=f"exceeded per-circuit timeout of {timeout:g}s",
-            options=options_from_dict(payload.get("options", {})),
-            bundle_dir=bundle_dir,
-        )
-    except Exception:  # noqa: BLE001 - bundling best-effort on timeout
-        return None
-
-
 def run_batch(
     payloads: List[Dict[str, Any]],
     timeout_s: Optional[float] = None,
@@ -719,11 +626,14 @@ def run_batch(
 ) -> List[Dict[str, Any]]:
     """Run a list of work items, each isolated; one row per item, always.
 
-    Items run sequentially (measurement noise beats parallel speed for the
-    benchmark harness); a timeout or crash in one item never affects the
+    Items run sequentially on one persistent worker (measurement noise
+    beats parallel speed for the benchmark harness); a timeout or crash
+    in one item costs only that item, and a replacement worker runs the
     rest of the batch.
     """
-    return [run_one(p, timeout_s=timeout_s, bundle_dir=bundle_dir) for p in payloads]
+    if bundle_dir:
+        payloads = [dict(p, bundle_dir=bundle_dir) for p in payloads]
+    return run_payloads(payloads, jobs=1, timeout_s=timeout_s)
 
 
 def run_pool(
@@ -739,83 +649,19 @@ def run_pool(
     sub-runs and by the serve daemon's load tooling.  Rows come back in
     payload order, so the caller's merge is deterministic regardless of
     scheduling.  With ``jobs <= 1`` (or a single item) the items run in
-    this process — identical semantics, no pool overhead.
+    this process — identical semantics, no worker overhead.
 
-    Each item gets its *own* single-shot process (a sliding window of up
-    to ``jobs`` of them), not a slot in a long-lived ``multiprocessing``
-    pool.  That costs one cheap fork per item and buys exact crash
-    attribution: a worker killed by a signal yields a structured
-    ``worker_crashed`` row for *its* item — exit code and signal included —
-    while every other item completes normally.  A shared pool cannot
-    promise that (a dead pool worker can hang ``Pool.map`` forever), and a
-    hang is the one failure mode a supervisor cannot retry its way out of.
-    A per-item ``timeout_s`` payload key (or the argument, as a default)
-    terminates overrunning workers just like :func:`run_one`.
+    Workers are the persistent, crash-isolated workers of
+    :func:`repro.guard.executor.run_jobs`: a worker killed by a signal
+    yields a structured ``worker_crashed`` row for the one item it was
+    running — exit code and signal included — while every other item
+    completes normally.  A per-item ``timeout_s`` payload key (or the
+    argument, as a default) terminates overrunning workers just like
+    :func:`run_one`.
     """
     if bundle_dir:
         payloads = [dict(p, bundle_dir=bundle_dir) for p in payloads]
     jobs = min(int(jobs), len(payloads))
     if jobs <= 1:
         return [minimize_payload(p) for p in payloads]
-    ctx = multiprocessing.get_context()
-    rows: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
-    active: Dict[int, Any] = {}  # idx -> (proc, queue, t0, deadline)
-    next_idx = 0
-    while active or next_idx < len(payloads):
-        while next_idx < len(payloads) and len(active) < jobs:
-            payload = payloads[next_idx]
-            out_queue = ctx.Queue()
-            proc = ctx.Process(
-                target=_child_main, args=(payload, out_queue), daemon=True
-            )
-            t0 = time.perf_counter()
-            proc.start()
-            timeout = payload.get("timeout_s") or timeout_s
-            deadline = None if timeout is None else t0 + timeout
-            active[next_idx] = (proc, out_queue, t0, deadline)
-            next_idx += 1
-        progressed = False
-        for idx in list(active):
-            proc, out_queue, t0, deadline = active[idx]
-            row: Optional[Dict[str, Any]] = None
-            try:
-                row = out_queue.get_nowait()
-            except queue_mod.Empty:
-                now = time.perf_counter()
-                if deadline is not None and now >= deadline:
-                    proc.terminate()
-                    proc.join()
-                    timeout = deadline - t0
-                    row = {
-                        "name": payloads[idx].get("name", "instance"),
-                        "status": "timeout",
-                        "time_s": round(now - t0, 6),
-                        "error": "exceeded per-circuit timeout of "
-                        f"{timeout:g}s",
-                        "bundle_path": _timeout_bundle(
-                            payloads[idx],
-                            payloads[idx].get("bundle_dir"),
-                            timeout,
-                        ),
-                    }
-                elif not proc.is_alive():
-                    try:
-                        row = out_queue.get(timeout=0.5)
-                    except queue_mod.Empty:
-                        row = _worker_crashed_row(
-                            payloads[idx].get("name", "instance"),
-                            proc.exitcode,
-                            now - t0,
-                        )
-            if row is not None:
-                row.setdefault("time_s", round(time.perf_counter() - t0, 6))
-                rows[idx] = row
-                proc.join(timeout=1.0)
-                if proc.is_alive():  # pragma: no cover - defensive cleanup
-                    proc.terminate()
-                    proc.join()
-                del active[idx]
-                progressed = True
-        if not progressed and active:
-            time.sleep(0.01)
-    return rows
+    return run_payloads(payloads, jobs=jobs, timeout_s=timeout_s)

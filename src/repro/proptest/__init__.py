@@ -36,44 +36,11 @@ Hypothesis is a *test-time* dependency: the seeded builders
 (:func:`~repro.proptest.strategies.seeded_instance`) and the fault
 injector work without it, and everything Hypothesis-specific degrades to
 a :class:`RuntimeError`-raising stub when it is absent
-(``HAVE_HYPOTHESIS``).
+(``HAVE_HYPOTHESIS``).  It is imported only when a Hypothesis strategy
+is first used, and this package loads its modules lazily (PEP 562), so
+the product paths that use the seeded builders or the metamorphic
+rewrites (corpus generation, serve canonicalization) never load it.
 """
-
-from repro.proptest.faults import (
-    DEFECTS,
-    Defect,
-    FaultyPass,
-    fault_decorator,
-    faulty_options,
-    probe_with_fault,
-)
-from repro.proptest.metamorphic import (
-    MetamorphicTransform,
-    input_permutation,
-    output_duplication,
-    polarity_flip,
-    transition_subset,
-    transforms_for,
-)
-from repro.proptest.strategies import (
-    DEFAULT_CONFIG,
-    FUZZ_CONFIG,
-    HAVE_HYPOTHESIS,
-    DrawSource,
-    HypothesisSource,
-    InstanceConfig,
-    RandomSource,
-    build_instance,
-    build_unsolvable_instance,
-    covers,
-    cubes,
-    instances,
-    repair_to_solvable,
-    seeded_instance,
-    solvable_instances,
-    transitions,
-    unsolvable_instances,
-)
 
 __all__ = [
     "DEFAULT_CONFIG",
@@ -106,3 +73,25 @@ __all__ = [
     "transitions",
     "unsolvable_instances",
 ]
+
+_LAZY = {
+    **dict.fromkeys(
+        ("DEFECTS", "Defect", "FaultyPass", "fault_decorator",
+         "faulty_options", "probe_with_fault"),
+        "repro.proptest.faults",
+    ),
+    **dict.fromkeys(
+        ("MetamorphicTransform", "input_permutation", "output_duplication",
+         "polarity_flip", "transition_subset", "transforms_for"),
+        "repro.proptest.metamorphic",
+    ),
+}
+
+
+def __getattr__(name):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    module_name = _LAZY.get(name, "repro.proptest.strategies")
+    return getattr(importlib.import_module(module_name), name)

@@ -36,6 +36,7 @@ the verifier on the other.
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
@@ -44,12 +45,7 @@ from repro.cubes.cover import Cover
 from repro.hazards.instance import HazardFreeInstance
 from repro.hazards.transitions import Transition
 
-try:
-    from hypothesis import strategies as st
-
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover - exercised only without hypothesis
-    HAVE_HYPOTHESIS = False
+HAVE_HYPOTHESIS = importlib.util.find_spec("hypothesis") is not None
 
 
 @dataclass(frozen=True)
@@ -236,7 +232,10 @@ def transition_subset(keep: Sequence[int]) -> MetamorphicTransform:
 # Strategy: a transform valid for a given instance
 # ----------------------------------------------------------------------
 
-if HAVE_HYPOTHESIS:
+
+def _define_transforms_for() -> None:
+    global transforms_for
+    from hypothesis import strategies as st
 
     @st.composite
     def transforms_for(draw, instance: HazardFreeInstance):
@@ -263,7 +262,16 @@ if HAVE_HYPOTHESIS:
         )
         return transition_subset(sorted(keep))
 
-else:  # pragma: no cover - exercised only without hypothesis
 
-    def transforms_for(*_args, **_kwargs):
-        raise RuntimeError("transforms_for requires the 'hypothesis' package")
+def _needs_hypothesis(*_args, **_kwargs):
+    raise RuntimeError("transforms_for requires the 'hypothesis' package")
+
+
+def __getattr__(name):
+    """Import Hypothesis when the ``transforms_for`` strategy is first used."""
+    if name != "transforms_for":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if not HAVE_HYPOTHESIS:  # pragma: no cover - exercised only without it
+        return _needs_hypothesis
+    _define_transforms_for()
+    return transforms_for

@@ -31,6 +31,7 @@ dump.
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
@@ -42,13 +43,9 @@ from repro.hazards.existence import existence_report, hazard_free_solution_exist
 from repro.hazards.instance import HazardFreeInstance
 from repro.hazards.transitions import Transition, function_hazard_free
 
-try:  # Hypothesis is a test-time dependency; the seeded path works without it
-    from hypothesis import assume
-    from hypothesis import strategies as st
-
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover - exercised only without hypothesis
-    HAVE_HYPOTHESIS = False
+#: Hypothesis is a test-time dependency; the seeded path works without it,
+#: and the strategies below import it on first use (module ``__getattr__``)
+HAVE_HYPOTHESIS = importlib.util.find_spec("hypothesis") is not None
 
 
 # ----------------------------------------------------------------------
@@ -110,18 +107,22 @@ class HypothesisSource(DrawSource):
     """
 
     def __init__(self, draw):
+        from hypothesis import strategies as st
+
         self.draw = draw
+        self.st = st
 
     def integer(self, lo: int, hi: int) -> int:
-        return self.draw(st.integers(lo, hi))
+        return self.draw(self.st.integers(lo, hi))
 
     def boolean(self) -> bool:
-        return self.draw(st.booleans())
+        return self.draw(self.st.booleans())
 
     def choice(self, seq: Sequence):
-        return self.draw(st.sampled_from(list(seq)))
+        return self.draw(self.st.sampled_from(list(seq)))
 
     def subset(self, seq: Sequence, min_size: int, max_size: int) -> List:
+        st = self.st
         items = list(seq)
         picked = self.draw(
             st.lists(
@@ -343,10 +344,18 @@ def seeded_instance(
 
 
 # ----------------------------------------------------------------------
-# Hypothesis strategies
+# Hypothesis strategies (defined on first use, see ``__getattr__``)
 # ----------------------------------------------------------------------
 
-if HAVE_HYPOTHESIS:
+_STRATEGIES = ("literals", "cubes", "covers", "transitions", "instances",
+               "solvable_instances", "unsolvable_instances")
+
+
+def _define_strategies() -> None:
+    global literals, cubes, covers, transitions
+    global instances, solvable_instances, unsolvable_instances
+    from hypothesis import assume
+    from hypothesis import strategies as st
 
     def literals() -> "st.SearchStrategy[int]":
         """A non-empty input literal code (ZERO/ONE/DC)."""
@@ -397,8 +406,6 @@ if HAVE_HYPOTHESIS:
         inst = build_instance(HypothesisSource(draw), config)
         assume(inst is not None)
         if solvable:
-            from repro.hazards import hazard_free_solution_exists
-
             assume(hazard_free_solution_exists(inst))
         return inst
 
@@ -415,14 +422,20 @@ if HAVE_HYPOTHESIS:
         assume(inst is not None)
         return inst
 
-else:  # pragma: no cover - exercised only without hypothesis
 
-    def _needs_hypothesis(*_args, **_kwargs):
-        raise RuntimeError(
-            "repro.proptest strategies require the 'hypothesis' package; "
-            "only the seeded builders (seeded_instance, build_instance) "
-            "work without it"
-        )
+def _needs_hypothesis(*_args, **_kwargs):
+    raise RuntimeError(
+        "repro.proptest strategies require the 'hypothesis' package; "
+        "only the seeded builders (seeded_instance, build_instance) "
+        "work without it"
+    )
 
-    literals = cubes = covers = transitions = _needs_hypothesis
-    instances = solvable_instances = unsolvable_instances = _needs_hypothesis
+
+def __getattr__(name):
+    """Import Hypothesis when one of its strategies is first asked for."""
+    if name not in _STRATEGIES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if not HAVE_HYPOTHESIS:  # pragma: no cover - exercised only without it
+        return _needs_hypothesis
+    _define_strategies()
+    return globals()[name]

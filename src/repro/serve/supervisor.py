@@ -25,17 +25,18 @@ and every decision is counted through the shared
 7. **Run** on an isolated worker process (:func:`repro.guard.runner.run_one`)
    with a wall-clock deadline; *worker death* — and only worker death,
    which is the one retry-safe failure in the
-   :mod:`repro.guard.errors` taxonomy — is retried on a fresh process
+   :mod:`repro.guard.errors` taxonomy — is retried on a new worker
    under exponential backoff with jitter, at most ``max_retries`` times,
    with the crash count feeding the quarantine.
 8. **Serve degraded results explicitly**: a budget-exhausted run returns
    its best *verified* snapshot with ``status="degraded"`` rather than
    failing the request.
 
-Workers are **single-shot processes**: each attempt forks a fresh
-interpreter, so "automatic respawn" is structural — there is no pool
-process whose corpse can wedge the service (see
-:func:`repro.guard.runner.run_pool` for the same argument).
+Each attempt is a one-job call of the crash-isolated executor
+(:mod:`repro.guard.executor`), so it runs on its own worker process and
+that worker is joined before the attempt returns: "automatic respawn" is
+structural, and a dead worker is detected from its pipe and sentinel,
+never waited on.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ class _Job:
 
 
 class Supervisor:
-    """Fault-tolerant scheduler over single-shot worker processes."""
+    """Fault-tolerant scheduler over per-attempt isolated worker processes."""
 
     def __init__(
         self,

@@ -117,3 +117,37 @@ class TestSolvabilityBias:
             repaired = repair_to_solvable(raw)
             assert repaired.on is raw.on and repaired.off is raw.off
             assert set(repaired.transitions) <= set(raw.transitions)
+
+
+class TestHypothesisStaysOffTheProductPath:
+    def test_corpus_generation_canon_and_run_corpus_never_import_it(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import sys\n"
+            "from repro.corpus import differential_payload, generate_corpus\n"
+            "from repro.corpus.executor import run_corpus\n"
+            "corpus = generate_corpus(11, 20)\n"
+            "import repro.serve.canon\n"
+            "payloads = [differential_payload(c.name, c.pla_text, c.stratum,"
+            " c.solvable) for c in corpus[:3]]\n"
+            "rows, stats = run_corpus(payloads, jobs=2)\n"
+            "assert stats.executed == 3, stats\n"
+            "assert 'hypothesis' not in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_lazy_names_still_resolve(self):
+        import repro.proptest as proptest
+        from repro.proptest.metamorphic import transforms_for
+
+        assert proptest.instances is instances
+        assert proptest.transforms_for is transforms_for
+        assert proptest.HAVE_HYPOTHESIS is True
+        for name in proptest.__all__:
+            assert getattr(proptest, name) is not None, name
